@@ -80,7 +80,7 @@ def drill_shard_worker_error(incident_dir):
         incident_dir,
         engine="sharded",
         shards=2,
-        executor="thread",
+        executor="serial",
         slo=SloPolicy(),
         audit_mode="off",
     )

@@ -76,6 +76,35 @@ _CHILD = textwrap.dedent(
 )
 
 
+def _session_members(session):
+    """Live (non-zombie) pids whose session id is *session* (Linux /proc)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # After "(comm)": state, ppid, pgrp, session, ...
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _await_session_exit(session, timeout=10.0):
+    """Wait for every process of *session* to die; returns any survivors."""
+    if not os.path.isdir("/proc"):
+        return []
+    deadline = time.monotonic() + timeout
+    survivors = _session_members(session)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.05)
+        survivors = _session_members(session)
+    return survivors
+
+
 def _logged_batches(directory):
     """Durably committed batches, read straight off the SQLite file."""
     conn = sqlite3.connect(wal_path(directory))
@@ -92,11 +121,14 @@ def drill_kill9(artifact_dir):
     script = os.path.join(artifact_dir, "child.py")
     with open(script, "w") as handle:
         handle.write(_CHILD)
+    # Its own session, so the kill reaches every process the child
+    # started; none may outlive the drill.
     proc = subprocess.Popen(
         [sys.executable, script, directory],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        start_new_session=True,
     )
     seen = 0
     started = time.time()
@@ -111,12 +143,19 @@ def drill_kill9(artifact_dir):
                 f"kill9 drill: child died early after {seen} batches: "
                 f"{proc.stderr.read()}"
             )
-        os.kill(proc.pid, signal.SIGKILL)
+        os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
     finally:
         if proc.poll() is None:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    survivors = _await_session_exit(proc.pid)
+    if survivors:
+        raise SystemExit(
+            f"kill9 drill: processes {survivors} of the killed session survived"
+        )
     print(
         f"kill9 drill: SIGKILL after {seen} durable batches "
         f"({time.time() - started:.1f}s)"

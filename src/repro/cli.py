@@ -423,9 +423,7 @@ class Session:
         header = f"  executor={maintainer.executor} workers={maintainer.workers}"
         backend = maintainer._backend
         lines = [header]
-        if maintainer.executor == "process":
-            relay = getattr(backend, "relay_telemetry", False)
-            lines[0] += f" relay_telemetry={'on' if relay else 'off'}"
+        if backend is not None:
             broken = getattr(backend, "_broken", {})
             slots: dict = {}
             for label, slot in sorted(getattr(backend, "_assignment", {}).items()):

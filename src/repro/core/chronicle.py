@@ -42,10 +42,10 @@ from .sequence import SequenceNumber
 RowValues = Union[Mapping[str, Any], Sequence[Any]]
 
 # Depth of nested maintenance sections currently active.  Thread-local:
-# the guard marks a *dynamic extent*, and with the sharded engine several
-# worker threads maintain views concurrently — each worker's guard must
-# cover its own maintenance only (an unguarded reader thread may read
-# freely while another thread maintains).  A module-global counter would
+# the guard marks a *dynamic extent*, and several threads may maintain
+# views concurrently (one writer per database, databases side by side) —
+# each thread's guard must cover its own maintenance only (an unguarded
+# reader thread may read freely while another thread maintains).  A module-global counter would
 # also corrupt under concurrent non-atomic +=/-=.
 _MAINTENANCE = threading.local()
 
@@ -199,11 +199,6 @@ class Chronicle:
                         )
                     values[seq_position] = sequence_number
             rows.append(unchecked(schema, check_values(values)))
-        obs = obs_runtime.ACTIVE
-        if obs is not None:
-            obs.metrics.inc(
-                "chronicle_records_admitted_total", len(rows), chronicle=self.name
-            )
         return rows
 
     @staticmethod

@@ -11,13 +11,13 @@ selection knobs of the sharded maintenance engine
 
     db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=4))
 
-The legacy keywords keep working for one release through a shim that
-emits :class:`DeprecationWarning` and maps onto the config (see
-``docs/api.md`` for the migration table).
+Deprecated spellings and their removal dates are listed in
+``docs/api.md``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
@@ -28,7 +28,7 @@ from ..obs.health import SloPolicy
 ENGINES = ("serial", "sharded")
 
 #: Supported shard executors (sharded engine only).
-EXECUTORS = ("thread", "serial", "process")
+EXECUTORS = ("serial", "process")
 
 #: Supported auditor modes (observability).
 AUDIT_MODES = ("off", "warn", "raise")
@@ -181,12 +181,12 @@ class DatabaseConfig:
         Number of worker shards per partitionable key class (sharded
         engine only; must be >= 1).
     executor:
-        How shard maintenance fans out: ``"thread"`` (a worker-thread
-        pool, the default), ``"serial"`` (in-line, deterministic — for
-        debugging), or ``"process"`` (worker processes holding portable
-        shard replicas — true multi-core maintenance; views whose
-        definitions cannot cross a process boundary fall back to the
-        serial shard with a warning).
+        Where shard maintenance windows run: ``"serial"`` (inline on the
+        writing thread, the default) or ``"process"`` (worker processes
+        holding portable shard replicas — true multi-core maintenance;
+        views whose definitions cannot cross a process boundary fall
+        back to the serial shard with a warning).  ``"thread"`` is a
+        deprecated alias of ``"serial"``.
     prefilter_views:
         Enable the Section 5.2 affected-view prefilter.
     compile_views:
@@ -201,13 +201,6 @@ class DatabaseConfig:
         (``/health``, ``SHOW HEALTH``, :meth:`ChronicleDatabase.health`)
         runs against when *observe* builds the handle.  ``None`` — the
         default policy.
-    relay_telemetry:
-        Whether ``executor="process"`` windows carry worker-side
-        telemetry (spans, metric deltas, resource readings) back to the
-        parent when observability is installed.  Costs nothing while
-        observability is off — the relay engages only when both switches
-        are on; with it off, the cross-process payload stays the
-        byte-minimal contract regardless of observability.
     aggregates:
         Aggregate registry for the view language (``None`` — a fresh
         copy of the standard registry).
@@ -223,13 +216,12 @@ class DatabaseConfig:
 
     engine: str = "serial"
     shards: int = 4
-    executor: str = "thread"
+    executor: str = "serial"
     prefilter_views: bool = True
     compile_views: bool = True
     observe: bool = False
     audit_mode: str = "warn"
     slo: Optional[SloPolicy] = None
-    relay_telemetry: bool = True
     aggregates: Optional[Any] = field(default=None, compare=False)
     durability: Optional[DurabilityConfig] = None
     history: Optional[HistoryConfig] = None
@@ -257,6 +249,14 @@ class DatabaseConfig:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
+        if self.executor == "thread":
+            warnings.warn(
+                'executor="thread" is deprecated; it now runs shard windows '
+                'inline, as executor="serial" (see docs/api.md)',
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "executor", "serial")
         if self.executor not in EXECUTORS:
             raise ConfigError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
@@ -268,10 +268,6 @@ class DatabaseConfig:
             )
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ConfigError(f"shards must be a positive int, got {self.shards!r}")
-        if not isinstance(self.relay_telemetry, bool):
-            raise ConfigError(
-                f"relay_telemetry must be a bool, got {self.relay_telemetry!r}"
-            )
 
     def replace(self, **changes: Any) -> "DatabaseConfig":
         """A copy of this config with *changes* applied (validated)."""

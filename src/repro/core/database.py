@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..aggregates.registry import default_registry
 from ..errors import ChronicleGroupError, ObservabilityError, ViewRegistrationError
 from ..obs import Observability
+from ..obs import runtime as obs_runtime
 from ..query.compiler import Catalog, Compiler
 from ..relational.schema import Schema
 from ..relational.tuples import Row
@@ -51,26 +52,6 @@ from .group import ChronicleGroup
 from .sequence import ChrononMapper, SequenceNumber
 
 DEFAULT_GROUP = "default"
-
-#: Sentinel distinguishing "not passed" from explicit values in the
-#: deprecated keyword shim.
-_UNSET: Any = object()
-
-
-def _resolve_config(config: Optional[DatabaseConfig], legacy: Dict[str, Any]) -> DatabaseConfig:
-    """Merge the config object with any deprecated legacy keywords."""
-    used = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if used:
-        warnings.warn(
-            f"ChronicleDatabase keyword(s) {sorted(used)} are deprecated; "
-            f"pass config=DatabaseConfig(...) instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if config is None:
-        config = DatabaseConfig()
-    return config.replace(**used) if used else config
-
 
 class ChronicleDatabase:
     """A chronicle database system (C, R, L, V).
@@ -87,11 +68,6 @@ class ChronicleDatabase:
         (implies ``config.observe``).  Note the runtime slot is
         process-wide, like ``GLOBAL_COUNTERS``: the installed instance
         observes every database in the process.
-    prefilter_views, compile_views, aggregates, observe:
-        **Deprecated** keyword shims for the pre-config API; each maps
-        onto the config field of the same name and emits a
-        :class:`DeprecationWarning` (see ``docs/api.md`` for the
-        migration table).
     """
 
     def __new__(cls, config: Optional[DatabaseConfig] = None, **kwargs: Any) -> "ChronicleDatabase":
@@ -110,20 +86,9 @@ class ChronicleDatabase:
         config: Optional[DatabaseConfig] = None,
         *,
         observability: Optional[Observability] = None,
-        prefilter_views: Any = _UNSET,
-        compile_views: Any = _UNSET,
-        aggregates: Any = _UNSET,
-        observe: Any = _UNSET,
     ) -> None:
-        config = _resolve_config(
-            config,
-            {
-                "prefilter_views": prefilter_views,
-                "compile_views": compile_views,
-                "aggregates": aggregates,
-                "observe": observe,
-            },
-        )
+        if config is None:
+            config = DatabaseConfig()
         #: The database's immutable configuration.
         self.config = config
         self.groups: Dict[str, ChronicleGroup] = {}
@@ -334,7 +299,7 @@ class ChronicleDatabase:
         if name in self.groups:
             raise ChronicleGroupError(f"group {name!r} already exists")
         group = ChronicleGroup(name, chronons=chronons, start=start)
-        group.subscribe(self.registry.on_event)
+        group.subscribe(self.registry.on_event, coalesce=True)
         self.groups[name] = group
         if self._durability is not None:
             self._durability.attach_group(group)
@@ -564,6 +529,10 @@ class ChronicleDatabase:
         return self.registry.periodic(name)
 
     # -- updates -------------------------------------------------------------------------
+    #
+    # Every write call is one failure-atomic window (``_write``): each
+    # batch gets its own sequence number and log row, but nothing changes
+    # unless every batch passes admission and the whole window is logged.
 
     def append(
         self,
@@ -574,15 +543,10 @@ class ChronicleDatabase:
     ) -> Tuple[Row, ...]:
         """Append one transaction batch; persistent views update before
         this call returns (the ATM requirement of Section 1)."""
-        group_name = self._chronicle_group.get(chronicle)
-        if group_name is None:
-            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
-        rows = self.groups[group_name].append(
-            chronicle, records, sequence_number=sequence_number, instant=instant
-        )
-        if self._durability is not None:
-            self._durability.batch_committed()
-        return rows
+        group = self._owning_group(chronicle)
+        return self._write(group, [{chronicle: records}], sequence_number, instant)[0][
+            chronicle
+        ]
 
     def append_simultaneous(
         self,
@@ -592,12 +556,7 @@ class ChronicleDatabase:
         instant: Optional[float] = None,
     ) -> Dict[str, Tuple[Row, ...]]:
         """Append to several chronicles at one sequence number."""
-        stamped = self.group(group).append_simultaneous(
-            batches, sequence_number=sequence_number, instant=instant
-        )
-        if self._durability is not None:
-            self._durability.batch_committed()
-        return stamped
+        return self._write(self.group(group), [batches], sequence_number, instant)[0]
 
     def ingest(
         self,
@@ -607,15 +566,79 @@ class ChronicleDatabase:
     ) -> int:
         """Append a window of transaction batches; returns records admitted.
 
-        Each batch receives its own fresh sequence number.  On the
-        serial engine every batch is its own maintenance event; the
-        sharded engine overrides this with a group-commit path that
-        ships each worker shard one coalesced event per window.
+        Each batch receives its own fresh sequence number and log row,
+        and periodic views see each batch in order, but persistent views
+        are maintained by **one** coalesced event for the whole window —
+        the per-event fixed costs are paid once instead of
+        ``len(batches)`` times (see docs/performance.md, E14).  All or
+        nothing: an invalid record anywhere in the window rejects the
+        whole call.
         """
-        total = 0
-        for records in batches:
-            total += len(self.append(chronicle, records, instant=instant))
-        return total
+        group = self._owning_group(chronicle)
+        stamped = self._write(group, [{chronicle: records} for records in batches], None, instant)
+        return sum(len(batch[chronicle]) for batch in stamped)
+
+    def _owning_group(self, chronicle: str) -> ChronicleGroup:
+        group_name = self._chronicle_group.get(chronicle)
+        if group_name is None:
+            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
+        return self.groups[group_name]
+
+    def _write(
+        self,
+        group: ChronicleGroup,
+        batches: Sequence[Mapping[str, Any]],
+        sequence_number: Optional[SequenceNumber],
+        instant: Optional[float],
+    ) -> List[Dict[str, Tuple[Row, ...]]]:
+        """The one write path of both engines.
+
+        The group checks, logs, stores and maintains the window
+        (:meth:`~repro.core.group.ChronicleGroup.append_window`), then
+        the sharded engine routes it to its shards (:meth:`_fan_out`).
+        Snapshots run after maintenance (``batch_committed``), never
+        inside it.  When the write fans out
+        to shards and tracing is on, an ``ingest`` root span brackets
+        admission through all-shards-visible, so its duration is the
+        end-to-end freshness gap; worker spans link to it.
+        """
+        obs = obs_runtime.ACTIVE
+        span = None
+        if obs is not None and obs.trace and self._fans_out():
+            span = obs.tracer.start("ingest", group=group.name, batches=len(batches))
+        try:
+            # A one-batch call enters through the group's one-batch entry
+            # point, which the benchmark's layer ledger (perfbench) wraps.
+            if len(batches) == 1:
+                stamped = [
+                    group.append_simultaneous(
+                        batches[0], sequence_number=sequence_number, instant=instant
+                    )
+                ]
+            else:
+                stamped = group.append_window(
+                    batches, sequence_number=sequence_number, instant=instant
+                )
+            self._fan_out(group, stamped)
+            if self._durability is not None:
+                self._durability.batch_committed()
+            return stamped
+        finally:
+            if span is not None:
+                obs.tracer.finish(span)
+
+    def _fans_out(self) -> bool:
+        """Whether writes fan out to worker shards (the sharded engine)."""
+        return False
+
+    def _fan_out(
+        self, group: ChronicleGroup, batches: Sequence[Mapping[str, Tuple[Row, ...]]]
+    ) -> None:
+        """Engine hook after a write call's batches were committed.
+
+        Called once per write (and once per replayed log entry); the
+        sharded engine routes the rows to its worker shards here.
+        """
 
     def update_relation(self, name: str, key: Sequence[Any], **changes: Any) -> bool:
         """Proactively update a relation row (Section 2.3)."""
@@ -629,19 +652,6 @@ class ChronicleDatabase:
     def view_row(self, name: str, key: Sequence[Any]) -> Optional[Row]:
         """Summary query: the view row at *key* — no chronicle access."""
         return self.view(name).lookup(key)
-
-    def query_view(self, name: str, key: Sequence[Any]) -> Optional[Row]:
-        """Deprecated alias of :meth:`view_row`.
-
-        Renamed for consistency with :meth:`view_value` (both are
-        summary-key point queries); retained for one release.
-        """
-        warnings.warn(
-            "ChronicleDatabase.query_view() is deprecated; use view_row()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.view_row(name, key)
 
     def view_value(self, name: str, key: Sequence[Any], output: str) -> Any:
         """Summary query returning a single output attribute."""
@@ -781,14 +791,14 @@ class ChronicleDatabase:
     ) -> None:
         """Recovery hook: re-apply one logged batch (engine-specific).
 
-        The serial engine absorbs the event through the group-commit
-        path when the group's watermark is still behind it — replay past
-        the watermark, skip what a snapshot already covers.  The sharded
-        engine overrides this to also route the event to the shards that
-        are still behind.
+        The event goes through the group's commit path and the shard
+        fan-out, as a live write does, when the group's watermark is
+        still behind it: replay past the watermark, skip what a snapshot
+        already covers.
         """
         if watermark > group.watermark:
             group.ingest_stamped(event, watermark)
+            self._fan_out(group, [event])
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,9 @@ class ChrononMapper:
         """The temporal instant associated with *sequence_number*."""
         raise NotImplementedError
 
+    def check(self, sequence_number: SequenceNumber, instant: float) -> None:
+        """Raise exactly what :meth:`record` would, without recording."""
+
     def record(self, sequence_number: SequenceNumber, instant: float) -> None:
         """Record an observed (sn, instant) pair; default ignores it."""
 
@@ -77,7 +80,7 @@ class RecordedChronons(ChrononMapper):
         self._sns: List[SequenceNumber] = []
         self._instants: List[float] = []
 
-    def record(self, sequence_number: SequenceNumber, instant: float) -> None:
+    def check(self, sequence_number: SequenceNumber, instant: float) -> None:
         if self._sns:
             if sequence_number <= self._sns[-1]:
                 raise SequenceOrderError(
@@ -88,6 +91,9 @@ class RecordedChronons(ChrononMapper):
                 raise SequenceOrderError(
                     f"chronon {instant} regresses below {self._instants[-1]}"
                 )
+
+    def record(self, sequence_number: SequenceNumber, instant: float) -> None:
+        self.check(sequence_number, instant)
         self._sns.append(sequence_number)
         self._instants.append(instant)
 
@@ -127,17 +133,18 @@ class SequenceIssuer:
         self._last += 1
         return self._last
 
-    def accept(self, sequence_number: SequenceNumber) -> SequenceNumber:
-        """Validate an externally supplied sequence number and advance.
-
-        Raises :class:`SequenceOrderError` unless it exceeds the
-        watermark, per the chronicle model's append rule.
-        """
+    def check(self, sequence_number: SequenceNumber) -> None:
+        """Raise :class:`SequenceOrderError` unless *sequence_number*
+        exceeds the watermark, per the chronicle model's append rule."""
         if sequence_number <= self._last:
             raise SequenceOrderError(
                 f"sequence number {sequence_number} is not greater than the "
                 f"chronicle group's watermark {self._last}"
             )
+
+    def accept(self, sequence_number: SequenceNumber) -> SequenceNumber:
+        """Validate an externally supplied sequence number and advance."""
+        self.check(sequence_number)
         self._last = sequence_number
         return sequence_number
 

@@ -20,9 +20,9 @@ offline through benchmark counter diffs:
 
 Quickstart::
 
-    from repro import ChronicleDatabase
+    from repro import ChronicleDatabase, DatabaseConfig
 
-    db = ChronicleDatabase(observe=True)      # installs observability
+    db = ChronicleDatabase(config=DatabaseConfig(observe=True))  # installs it
     ...
     db.observability.tracer.last().format()   # the latest append trace
     db.observability.metrics.to_prometheus()  # scrapeable metrics

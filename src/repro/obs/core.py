@@ -4,7 +4,7 @@ One instance bundles the three surfaces and the configuration knobs,
 and bridges them: every finished span flows through
 :meth:`Observability.on_span_end`, which feeds the metrics registry and
 hands maintenance spans to the auditor.  Installing the instance
-(:meth:`install`, or ``ChronicleDatabase(observe=True)``) publishes it
+(:meth:`install`, or ``DatabaseConfig(observe=True)``) publishes it
 to :mod:`repro.obs.runtime`, which is the only thing the hot-path hooks
 ever look at — so constructing an Observability costs nothing until it
 is installed, and uninstalling restores the zero-overhead no-op path.
@@ -12,7 +12,8 @@ is installed, and uninstalling restores the zero-overhead no-op path.
 Span names are the contract between the hooks and this bridge:
 
 ``append``
-    One whole append event (admission + every listener).  Metrics:
+    One whole write call on a group (admission, logging, storage and
+    every listener — one batch or a coalesced window).  Metrics:
     ``append_events_total{group}``, ``append_seconds{group}``, and the
     per-event :class:`~repro.complexity.counters.CostCounters` deltas as
     ``cost_<event>_total`` counters.
@@ -34,9 +35,8 @@ Span names are the contract between the hooks and this bridge:
     One coalesced window applied by a shard worker.  Metrics:
     ``shard_batches_total{shard}``, ``shard_apply_seconds{shard}``.
 
-Under ``executor="process"`` with the telemetry relay on
-(``DatabaseConfig.relay_telemetry``), worker-side spans arrive as
-relayed records grafted under ``shard_apply``
+Under ``executor="process"`` with observability installed, worker-side
+spans arrive as relayed records grafted under ``shard_apply``
 (:meth:`~repro.obs.tracer.Tracer.graft` — they bypass this bridge; the
 worker's metric deltas are merged directly with ``shard``/``worker``
 labels), and the parent emits the IPC accounting series:

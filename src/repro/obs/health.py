@@ -121,6 +121,7 @@ class ShardLag:
         "records_applied",
         "windows_applied",
         "last_apply_at",
+        "gap_watermark",
     )
 
     def __init__(
@@ -132,6 +133,7 @@ class ShardLag:
         records_applied: int,
         windows_applied: int,
         last_apply_at: float,
+        gap_watermark: Optional[int] = None,
     ) -> None:
         self.shard = shard
         self.watermark = watermark
@@ -142,6 +144,9 @@ class ShardLag:
         self.records_applied = records_applied
         self.windows_applied = windows_applied
         self.last_apply_at = last_apply_at
+        #: Watermark of the earliest window this shard failed to apply
+        #: (its rows are missing here); ``None`` when there is no gap.
+        self.gap_watermark = gap_watermark
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -152,6 +157,7 @@ class ShardLag:
             "records_applied": self.records_applied,
             "windows_applied": self.windows_applied,
             "last_apply_at": self.last_apply_at,
+            "gap_watermark": self.gap_watermark,
         }
 
     def __repr__(self) -> str:
@@ -192,6 +198,11 @@ class ShardHealth:
         return max((s.lag_seconds for s in self.shards), default=0.0)
 
     @property
+    def gap_shards(self) -> int:
+        """Shards that lost a window (see :attr:`ShardLag.gap_watermark`)."""
+        return sum(1 for s in self.shards if s.gap_watermark is not None)
+
+    @property
     def imbalance_ratio(self) -> float:
         counts = [s.records_applied for s in self.shards]
         total = sum(counts)
@@ -206,6 +217,7 @@ class ShardHealth:
             "imbalance_ratio": round(self.imbalance_ratio, 4),
             "max_lag_batches": self.max_lag_batches,
             "max_lag_seconds": round(self.max_lag_seconds, 6),
+            "gap_shards": self.gap_shards,
             "shards": [s.as_dict() for s in self.shards],
             "at": self.at,
         }
@@ -301,6 +313,11 @@ class HealthReport:
                     f"lag={shard.lag_batches} batches / "
                     f"{shard.lag_seconds:.3f}s "
                     f"({shard.records_applied} records)"
+                    + (
+                        f" GAP since watermark {shard.gap_watermark}"
+                        if shard.gap_watermark is not None
+                        else ""
+                    )
                 )
         return "\n".join(lines)
 
@@ -350,6 +367,9 @@ def evaluate_health(
                 "queue_depth", shard_health.queue_depth, policy.max_queue_depth
             )
         )
+        # A lost window is never healthy, and unlike lag it does not
+        # drain: the check stays breached until restore() clears it.
+        checks.append(HealthCheck("shard_gaps", shard_health.gap_shards, 0))
 
     # IPC overhead: only once the process executor's telemetry relay has
     # produced samples — a serial/thread deployment (or relay off) never

@@ -13,13 +13,10 @@ from .engine import (
     NonPortableViewWarning,
     ParallelMaintainer,
     ProcessShardBackend,
-    SerialShardBackend,
-    ShardBackend,
     ShardTask,
     ShardedDatabase,
     ShardGroup,
     ShardUnit,
-    ThreadShardBackend,
     UnpartitionableViewWarning,
     rebind,
     rebind_summary,
@@ -33,15 +30,12 @@ __all__ = [
     "ParallelMaintainer",
     "PartitionSpec",
     "ProcessShardBackend",
-    "SerialShardBackend",
-    "ShardBackend",
     "ShardGroup",
     "ShardRouter",
     "ShardTask",
     "ShardUnit",
     "ShardUnitSpec",
     "ShardedDatabase",
-    "ThreadShardBackend",
     "UNPARTITIONABLE",
     "UnitReplica",
     "UnpartitionableViewWarning",

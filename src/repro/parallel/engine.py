@@ -6,7 +6,8 @@ lineage to the base records (:func:`~repro.algebra.plan.infer_partition`)
 are split into *N* independent partitions, one per worker shard; views
 whose keys straddle partitions fall back to the ordinary serial path (a
 :class:`UnpartitionableViewWarning` says so).  Appends are admitted and
-sequence-stamped exactly once on the serial path, then fanned out:
+sequence-stamped exactly once on the serial path (the base engine's
+one failure-atomic write path), then fanned out:
 
 * **shard unit** — a private :class:`~repro.core.group.ChronicleGroup`
   of *mirror* chronicles (``retention=0`` — the no-access theorem means
@@ -17,11 +18,11 @@ sequence-stamped exactly once on the serial path, then fanned out:
   identically and share one row of units (:class:`ShardGroup`); views
   with different specs get their own units, since a shard's registry
   maintains every view it holds against every event it receives;
-* **group commit** — :meth:`ShardedDatabase.ingest` admits a window of
-  transaction batches (each with its own fresh sequence number), then
-  ships each shard *one* coalesced maintenance event for the whole
-  window (:meth:`~repro.core.group.ChronicleGroup.ingest_stamped`),
-  amortizing the per-event fixed costs that dominate small batches.
+* **route and dispatch** — the engine's only write-path step
+  (:meth:`ShardedDatabase._fan_out`), called by the base engine once per
+  write call: each shard receives *one* maintenance window for the
+  whole call (:meth:`~repro.core.group.ChronicleGroup.ingest_stamped`),
+  run inline or on worker processes (:class:`ParallelMaintainer`).
 
 Reads merge: :class:`MergedView` routes key lookups to the owning shard
 and unions scans, taking each unit's lock so a lookup never observes a
@@ -34,7 +35,7 @@ import multiprocessing
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from threading import RLock
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union as TUnion
@@ -59,12 +60,12 @@ from ..algebra.plan import (
     schema_spec,
     summary_spec,
 )
-from ..core.chronicle import Chronicle, RowValues
+from ..core.chronicle import Chronicle
 from ..core.database import ChronicleDatabase
 from ..core.delta import Delta
 from ..core.group import ChronicleGroup
 from ..core.sequence import SequenceNumber
-from ..errors import ChronicleGroupError, EngineError, ViewRegistrationError
+from ..errors import EngineError, ViewRegistrationError
 from ..obs import runtime as obs_runtime
 from ..obs.health import ShardHealth, ShardLag
 from ..relational.algebra import Table
@@ -147,29 +148,6 @@ def rebind_summary(summary: Summary, chronicles: Mapping[str, Chronicle]) -> Sum
 # ---------------------------------------------------------------------------
 
 
-class ShardWindow:
-    """Dispatch-time context riding along with one maintenance window.
-
-    Built once per write on the admission (serial) thread and shared by
-    every task of the window: the trace identity of the producing
-    ``ingest`` span (``None`` ids when tracing is off) and the admission
-    wall-clock instant, from which workers measure the per-shard
-    admission→visible lag.
-    """
-
-    __slots__ = ("trace_id", "parent_id", "admitted_at")
-
-    def __init__(
-        self,
-        trace_id: Optional[int],
-        parent_id: Optional[int],
-        admitted_at: float,
-    ) -> None:
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-        self.admitted_at = admitted_at
-
-
 class ShardUnit:
     """One worker shard of one key class: mirrors + a private registry.
 
@@ -194,6 +172,7 @@ class ShardUnit:
         "remote_stats",
         "remote_spans",
         "last_window_summary",
+        "failed_watermark",
     )
 
     def __init__(
@@ -220,11 +199,11 @@ class ShardUnit:
         #: admission thread before the worker runs; ``dispatched >
         #: watermark`` means a window is in flight or queued).
         self.dispatched: SequenceNumber = -1
-        #: Admission instant of the most recently dispatched window.
+        #: Wall-clock instant the most recent window was dispatched.
         self.dispatched_at: float = 0.0
         #: Wall-clock instant of the last applied window (0.0 = never).
         self.last_apply_at: float = 0.0
-        #: Admission→visible latency of the last applied window.
+        #: Dispatch→visible latency of the last applied window.
         self.last_lag_seconds: float = 0.0
         #: Lifetime records / windows absorbed by this shard.
         self.records_applied: int = 0
@@ -240,6 +219,11 @@ class ShardUnit:
         #: Summary of the last window this unit absorbed (shard,
         #: watermark, per-chronicle row counts).
         self.last_window_summary: Optional[Dict[str, Any]] = None
+        #: Watermark of the earliest window this shard failed to apply
+        #: (a worker raised or died, or an inline apply raised); its rows
+        #: are missing here even after later windows succeed.  ``None``
+        #: = no gap.  Only :meth:`ShardedDatabase.restore` clears it.
+        self.failed_watermark: Optional[SequenceNumber] = None
 
     def mirror(self, chronicle: Chronicle) -> Chronicle:
         """The unit's mirror of a real chronicle (created on demand).
@@ -258,28 +242,17 @@ class ShardUnit:
         self,
         event: Mapping[str, Sequence[Row]],
         watermark: SequenceNumber,
-        window: Optional[ShardWindow] = None,
+        dispatched_at: float,
     ) -> None:
-        """Absorb one coalesced maintenance window (runs on a worker).
+        """Absorb one coalesced maintenance window in place (inline).
 
-        When *window* carries a trace identity, the ``shard_apply`` span
-        is linked to the producing ``ingest``/``append`` span
-        (:meth:`~repro.obs.tracer.Tracer.start_linked`), so cross-thread
-        traces correlate: every worker span carries the admission span's
-        ``trace_id``.
+        Runs on the writing thread, so the ``shard_apply`` span nests
+        under the write's ``ingest`` span.
         """
         obs = obs_runtime.ACTIVE
         with self.lock:
             if obs is not None and obs.trace:
-                if window is not None and window.trace_id is not None:
-                    span = obs.tracer.start_linked(
-                        "shard_apply",
-                        window.trace_id,
-                        window.parent_id,
-                        shard=self.label,
-                    )
-                else:
-                    span = obs.tracer.start("shard_apply", shard=self.label)
+                span = obs.tracer.start("shard_apply", shard=self.label)
                 try:
                     self.group.ingest_stamped(event, watermark)
                 finally:
@@ -287,15 +260,15 @@ class ShardUnit:
             else:
                 self.group.ingest_stamped(event, watermark)
             records = sum(len(rows) for rows in event.values())
-            self.mark_applied(watermark, window, records)
+            self.mark_applied(watermark, dispatched_at, records)
 
     def mark_applied(
         self,
         watermark: SequenceNumber,
-        window: Optional[ShardWindow],
+        dispatched_at: float,
         records: int,
     ) -> None:
-        """Watermark/lag bookkeeping shared by every executor backend.
+        """Watermark/lag bookkeeping shared by both executors.
 
         Caller holds :attr:`lock` and has just made a whole window
         visible (either by applying it in place or by absorbing a
@@ -306,18 +279,15 @@ class ShardUnit:
         self.last_apply_at = now
         self.windows_applied += 1
         self.records_applied += records
-        if window is not None:
-            self.last_lag_seconds = max(0.0, now - window.admitted_at)
+        self.last_lag_seconds = max(0.0, now - dispatched_at)
         obs = obs_runtime.ACTIVE
         if obs is not None:
-            # The freshness gauges: how long admission→visible took
-            # for the window just absorbed, and how many sequence
-            # numbers of dispatched work remain unabsorbed (newer
-            # windows may have queued behind this one).
-            if window is not None:
-                obs.metrics.set(
-                    "shard_lag_seconds", self.last_lag_seconds, shard=self.label
-                )
+            # The freshness gauges: how long dispatch→visible took for
+            # the window just absorbed, and how many sequence numbers of
+            # dispatched work remain unabsorbed.
+            obs.metrics.set(
+                "shard_lag_seconds", self.last_lag_seconds, shard=self.label
+            )
             obs.metrics.set(
                 "shard_lag_batches",
                 max(0, self.dispatched - watermark),
@@ -328,7 +298,7 @@ class ShardUnit:
         self,
         per_view_items: Mapping[str, Sequence[Tuple[Any, Any]]],
         watermark: SequenceNumber,
-        window: Optional[ShardWindow],
+        dispatched_at: float,
         records: int,
         worker_seconds: float,
         stats: Dict[str, Any],
@@ -342,7 +312,7 @@ class ShardUnit:
         The worker returns only the ``(key, state)`` pairs the window
         touched per view; this merges them into the parent-side
         partition views under the unit lock — the same snapshot
-        consistency readers get from the thread executor — and performs
+        consistency readers get from the inline executor — and performs
         the same watermark/lag/trace bookkeeping, with the worker's
         wall-clock attached to the ``shard_apply`` span.
 
@@ -359,18 +329,9 @@ class ShardUnit:
         with self.lock:
             span = None
             if obs is not None and obs.trace:
-                if window is not None and window.trace_id is not None:
-                    span = obs.tracer.start_linked(
-                        "shard_apply",
-                        window.trace_id,
-                        window.parent_id,
-                        shard=self.label,
-                        worker_seconds=worker_seconds,
-                    )
-                else:
-                    span = obs.tracer.start(
-                        "shard_apply", shard=self.label, worker_seconds=worker_seconds
-                    )
+                span = obs.tracer.start(
+                    "shard_apply", shard=self.label, worker_seconds=worker_seconds
+                )
             try:
                 for name, items in per_view_items.items():
                     self.registry.view(name).absorb_states(items)
@@ -383,7 +344,7 @@ class ShardUnit:
             self.remote_stats = stats
             if telemetry is not None:
                 self.remote_spans = telemetry.spans
-            self.mark_applied(watermark, window, records)
+            self.mark_applied(watermark, dispatched_at, records)
             if obs is not None:
                 self._relay_metrics(obs, telemetry, ipc, worker)
 
@@ -672,35 +633,33 @@ class MergedView:
 
 
 # ---------------------------------------------------------------------------
-# The maintainer (executor fan-out)
+# The maintainer (inline or worker-process windows)
 # ---------------------------------------------------------------------------
 
 
 class ShardTask:
     """One shard's share of one maintenance window, ready to execute.
 
-    Built on the admission thread by ``_dispatch``; backends decide
-    *where* it runs (inline, worker thread, worker process) — the
-    routing, watermark bookkeeping, and trace context are already fixed.
+    Built on the admission thread by ``_dispatch``; the
+    :class:`ParallelMaintainer` decides *where* it runs (inline or on a
+    worker process) — the routing, watermark bookkeeping, and trace
+    context are already fixed.
     """
 
-    __slots__ = ("unit", "event", "watermark", "window")
+    __slots__ = ("unit", "event", "watermark", "dispatched_at")
 
     def __init__(
         self,
         unit: ShardUnit,
         event: Mapping[str, Sequence[Row]],
         watermark: SequenceNumber,
-        window: Optional[ShardWindow],
+        dispatched_at: float,
     ) -> None:
         self.unit = unit
         self.event = event
         self.watermark = watermark
-        self.window = window
-
-    def run_local(self) -> None:
-        """Apply the window on the calling thread (serial/thread backends)."""
-        self.unit.apply(self.event, self.watermark, self.window)
+        #: Dispatch wall-clock instant: the start of the lag measurement.
+        self.dispatched_at = dispatched_at
 
     def summary(self) -> Dict[str, Any]:
         """A compact description of this task's window, for diagnostics.
@@ -717,78 +676,7 @@ class ShardTask:
         }
 
 
-class ShardBackend:
-    """Executor-agnostic contract the maintainer dispatches through.
-
-    One dispatch path serves every executor: ``run`` executes a window's
-    tasks and re-raises the first failure after all complete (a partial
-    window never hides an error); the view/reset hooks let stateful
-    backends (worker processes holding replicas) track registration
-    changes.  The base class is the inline ``serial`` implementation.
-    """
-
-    name = "serial"
-
-    def run(self, tasks: Sequence[ShardTask]) -> None:
-        for task in tasks:
-            task.run_local()
-
-    def queue_depth(self) -> int:
-        """Tasks waiting to execute (0 when nothing is in flight)."""
-        return 0
-
-    def view_added(self, shard_group: "ShardGroup", name: str) -> None:
-        """A view was registered after workers may have state."""
-
-    def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
-        """A view was dropped."""
-
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
-        """Parent-side shard state was replaced (restore); resync."""
-
-    def close(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class SerialShardBackend(ShardBackend):
-    """Run every task inline (deterministic; handy under debuggers)."""
-
-
-class ThreadShardBackend(ShardBackend):
-    """Run tasks on a shared thread pool (the PR-4 executor)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def run(self, tasks: Sequence[ShardTask]) -> None:
-        if len(tasks) == 1:
-            tasks[0].run_local()
-            return
-        futures = [self._pool.submit(task.run_local) for task in tasks]
-        error: Optional[BaseException] = None
-        for future in futures:
-            exc = future.exception()
-            if exc is not None and error is None:
-                error = exc
-        if error is not None:
-            raise error
-
-    def queue_depth(self) -> int:
-        queue = getattr(self._pool, "_work_queue", None)
-        return int(queue.qsize()) if queue is not None else 0
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ProcessShardBackend(ShardBackend):
+class ProcessShardBackend:
     """Run tasks in worker processes holding shard replicas.
 
     Each shard label is pinned to one single-process pool (a replica is
@@ -800,14 +688,15 @@ class ProcessShardBackend(ShardBackend):
     window (amortized over its lifetime); per window only stamped value
     tuples go down and touched ``(key, state)`` pairs come back.
 
-    With observability installed (and ``relay_telemetry`` on), windows
-    travel through :func:`~repro.parallel.worker.worker_apply_relay`
-    instead: the parent pre-pickles the window (timing the encode,
-    counting the bytes) and the worker piggybacks a bounded
+    With observability installed, windows travel through
+    :func:`~repro.parallel.worker.worker_apply_relay` instead: the
+    parent pre-pickles the window (timing the encode, counting the
+    bytes) and the worker piggybacks a bounded
     :class:`~repro.parallel.worker.WindowTelemetry` — captured spans,
     metric deltas, resource readings — on the result, which
-    :meth:`ShardUnit.absorb` grafts, merges, and accounts.  With either
-    switch off the legacy path runs and the payload is byte-identical.
+    :meth:`ShardUnit.absorb` grafts, merges, and accounts.  With
+    observability off the plain path runs and the payload is
+    byte-identical to the untelemetered one.
 
     A worker that raises keeps its pool: the window failed, the parent
     watermark stands, and the next dispatch retries cleanly.  A worker
@@ -817,13 +706,8 @@ class ProcessShardBackend(ShardBackend):
     restore or restart must rebuild it).
     """
 
-    name = "process"
-
-    def __init__(self, workers: int, relay_telemetry: bool = True) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = max(1, workers)
-        #: Whether windows carry telemetry back when observability is on
-        #: (:attr:`~repro.core.config.DatabaseConfig.relay_telemetry`).
-        self.relay_telemetry = bool(relay_telemetry)
         self._context = multiprocessing.get_context("spawn")
         self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self.workers
         self._assignment: Dict[str, int] = {}
@@ -876,14 +760,9 @@ class ProcessShardBackend(ShardBackend):
     # -- dispatch ----------------------------------------------------------------------
 
     def _relay_active(self) -> bool:
-        """Whether windows should travel through the telemetry relay.
-
-        Both switches must be on: the config knob *and* an installed
-        observability handle — with either off, dispatch uses the legacy
-        :func:`~repro.parallel.worker.worker_apply` entry point and the
-        cross-process payload is byte-identical to the minimal contract.
-        """
-        return self.relay_telemetry and obs_runtime.ACTIVE is not None
+        """Whether windows travel through the telemetry relay: exactly
+        when an observability handle is installed."""
+        return obs_runtime.ACTIVE is not None
 
     def _encode_task(self, task: ShardTask) -> Tuple[Any, Tuple[Any, ...], Optional[Dict[str, Any]]]:
         """One task's submission: ``(worker fn, args, ipc meta or None)``.
@@ -891,7 +770,7 @@ class ProcessShardBackend(ShardBackend):
         On the relay path the parent pickles the window itself (so the
         encode can be timed and the bytes counted); the pool then ships
         an opaque ``bytes`` — re-pickling bytes is nearly free.  Off the
-        relay path the args are exactly PR 6's ``worker_apply`` payload.
+        relay path the args are the plain ``worker_apply`` payload.
         """
         payload = {
             name: [row.values for row in rows]
@@ -963,7 +842,7 @@ class ProcessShardBackend(ShardBackend):
             if ipc_meta is None:
                 items, records, elapsed, stats = result
                 task.unit.absorb(
-                    items, task.watermark, task.window, records, elapsed, stats
+                    items, task.watermark, task.dispatched_at, records, elapsed, stats
                 )
             else:
                 blob, worker_decode, worker_encode = result
@@ -981,7 +860,7 @@ class ProcessShardBackend(ShardBackend):
                 task.unit.absorb(
                     items,
                     task.watermark,
-                    task.window,
+                    task.dispatched_at,
                     records,
                     elapsed,
                     stats,
@@ -994,6 +873,7 @@ class ProcessShardBackend(ShardBackend):
             raise error
 
     def queue_depth(self) -> int:
+        """Windows submitted to worker processes and not yet finished."""
         depth = 0
         for pool in self._pools:
             if pool is not None:
@@ -1005,6 +885,7 @@ class ProcessShardBackend(ShardBackend):
     # -- registration tracking ---------------------------------------------------------
 
     def view_added(self, shard_group: "ShardGroup", name: str) -> None:
+        """Install a view registered after workers may hold replicas."""
         for unit in shard_group.units:
             if unit.label in self._installed:
                 summary_sp, state, chronicles = unit.view_payload(name)
@@ -1019,7 +900,7 @@ class ProcessShardBackend(ShardBackend):
                     worker_remove_view, unit.label, name
                 ).result()
 
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
+    def reset_units(self) -> None:
         """Forget installed replicas; next dispatch reinstalls from state."""
         self._installed.clear()
 
@@ -1030,69 +911,69 @@ class ProcessShardBackend(ShardBackend):
         self._pools = [None] * self.workers
 
 
-_BACKENDS = {
-    "serial": SerialShardBackend,
-    "thread": ThreadShardBackend,
-    "process": ProcessShardBackend,
-}
-
-
 class ParallelMaintainer:
-    """Fans per-shard maintenance tasks out through a :class:`ShardBackend`.
+    """Runs each window's per-shard tasks, inline or on worker processes.
 
-    ``executor="thread"`` runs tasks on a worker thread pool;
-    ``"serial"`` runs them inline (deterministic, handy under
-    debuggers); ``"process"`` ships windows to worker processes holding
-    portable shard replicas — true multi-core maintenance.  The dispatch
-    path, watermark bookkeeping, lag gauges, and trace correlation are
-    identical across executors; only *where* a window executes differs.
+    ``executor="serial"`` applies every task on the writing thread
+    (deterministic — and, because windows are coalesced, as fast as
+    maintenance gets on one core); ``"process"`` hands the window to a
+    :class:`ProcessShardBackend`, whose worker processes hold portable
+    shard replicas — true multi-core maintenance.  Routing, watermark
+    bookkeeping, lag gauges, and trace correlation are identical for
+    both; only *where* a window executes differs.
     """
 
-    def __init__(
-        self,
-        executor: str = "thread",
-        workers: int = 4,
-        relay_telemetry: bool = True,
-    ) -> None:
-        factory = _BACKENDS.get(executor)
-        if factory is None:
+    def __init__(self, executor: str = "serial", workers: int = 4) -> None:
+        if executor not in ("serial", "process"):
             raise EngineError(f"unknown executor {executor!r}")
         self.executor = executor
         self.workers = workers
-        if executor == "serial":
-            self._backend: ShardBackend = factory()
-        elif executor == "process":
-            self._backend = factory(workers, relay_telemetry)
-        else:
-            self._backend = factory(workers)
+        self._backend: Optional[ProcessShardBackend] = (
+            ProcessShardBackend(workers) if executor == "process" else None
+        )
 
     def run(self, tasks: Sequence[ShardTask]) -> None:
         """Run every task; re-raises the first failure after all finish."""
         if not tasks:
             return
-        self._backend.run(tasks)
+        if self._backend is not None:
+            self._backend.run(tasks)
+            return
+        error: Optional[Exception] = None
+        for task in tasks:
+            try:
+                task.unit.apply(task.event, task.watermark, task.dispatched_at)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
 
     def queue_depth(self) -> int:
-        """Tasks waiting in the backend's queue (0 for serial).
+        """Windows submitted to workers and not yet finished (0 inline).
 
-        A best-effort probe of the executor's internal work queue —
-        under the synchronous :meth:`run` it only exceeds zero while a
-        window is mid-flight, which is exactly when health snapshots
-        taken from other threads want to see it.
+        A best-effort probe — under the synchronous :meth:`run` it only
+        exceeds zero while a window is mid-flight, which is exactly when
+        health snapshots taken from other threads want to see it.
         """
-        return self._backend.queue_depth()
+        return self._backend.queue_depth() if self._backend is not None else 0
 
     def view_added(self, shard_group: "ShardGroup", name: str) -> None:
-        self._backend.view_added(shard_group, name)
+        if self._backend is not None:
+            self._backend.view_added(shard_group, name)
 
     def view_removed(self, shard_group: "ShardGroup", name: str) -> None:
-        self._backend.view_removed(shard_group, name)
+        if self._backend is not None:
+            self._backend.view_removed(shard_group, name)
 
-    def reset_units(self, shard_groups: Sequence["ShardGroup"]) -> None:
-        self._backend.reset_units(shard_groups)
+    def reset_units(self) -> None:
+        """Parent-side shard state was replaced (restore): resync workers."""
+        if self._backend is not None:
+            self._backend.reset_units()
 
     def close(self) -> None:
-        self._backend.close()
+        if self._backend is not None:
+            self._backend.close()
 
     def __repr__(self) -> str:
         return f"ParallelMaintainer(executor={self.executor!r}, workers={self.workers})"
@@ -1110,21 +991,21 @@ class ShardedDatabase(ChronicleDatabase):
 
         db = ChronicleDatabase(config=DatabaseConfig(engine="sharded", shards=4))
 
-    Admission stays serial (one sequence-number domain per group —
-    Section 4's ordering requirement), maintenance fans out.  Views that
-    cannot be partitioned run exactly as in the serial engine, on the
-    base registry; everything else lives in per-key-class
+    Writes take the base engine's one failure-atomic path (one sequence
+    number domain per group — Section 4's ordering requirement); this
+    engine adds only the route-and-dispatch step the base path calls
+    once per write (:meth:`_fan_out`).  Views that cannot be
+    partitioned run exactly as in the serial engine, on the base
+    registry; everything else lives in per-key-class
     :class:`ShardGroup` units and is read through :class:`MergedView`.
     """
 
-    def __init__(self, config: Any = None, **legacy: Any) -> None:
-        super().__init__(config=config, **legacy)
+    def __init__(self, config: Any = None) -> None:
+        super().__init__(config=config)
         if self.config.engine != "sharded":
             self.config = self.config.replace(engine="sharded")
         self._maintainer = ParallelMaintainer(
-            executor=self.config.executor,
-            workers=self.config.shards,
-            relay_telemetry=getattr(self.config, "relay_telemetry", True),
+            executor=self.config.executor, workers=self.config.shards
         )
         self._shard_groups: Dict[Tuple[str, Any], ShardGroup] = {}
         self._merged: Dict[str, MergedView] = {}
@@ -1240,153 +1121,53 @@ class ShardedDatabase(ChronicleDatabase):
             return merged
         return super().view(name)
 
-    # -- appends ---------------------------------------------------------------------
+    # -- writes ----------------------------------------------------------------------
 
-    def _ingest_span(self, group_name: str, path: str) -> Optional[Any]:
-        """Open the root ``ingest`` span for one sharded write, if tracing.
+    def _fans_out(self) -> bool:
+        return bool(self._shard_groups)
 
-        The span brackets admission through all-shards-visible (dispatch
-        is synchronous), so its duration is the end-to-end freshness gap;
-        its identity is what worker-thread ``shard_apply`` spans link to.
+    def _fan_out(
+        self, group: ChronicleGroup, batches: Sequence[Mapping[str, Tuple[Row, ...]]]
+    ) -> None:
+        """Route one write call's rows to their shards and apply them.
+
+        The engine's only write-path step, called by the base engine
+        once per write call (and per replayed log entry) after the group
+        committed the batches: each shard gets **one** coalesced window
+        stamped with the group's new watermark.
         """
-        obs = obs_runtime.ACTIVE
-        if obs is None or not obs.trace or not self._shard_groups:
-            return None
-        return obs.tracer.start("ingest", group=group_name, path=path)
-
-    def _finish_ingest_span(self, span: Optional[Any], **attrs: Any) -> None:
-        if span is None:
+        if not self._shard_groups:
             return
-        obs = obs_runtime.ACTIVE
-        if obs is None:
-            return
-        span.attrs.update(attrs)
-        obs.tracer.finish(span)
-
-    def append(
-        self,
-        chronicle: str,
-        records: TUnion[RowValues, Sequence[RowValues]],
-        sequence_number: Optional[SequenceNumber] = None,
-        instant: Optional[float] = None,
-    ) -> Tuple[Row, ...]:
-        group = self._owning_group(chronicle)
-        span = self._ingest_span(group.name, "append")
-        try:
-            admitted_at = time.time()
-            rows = group.append(
-                chronicle, records, sequence_number=sequence_number, instant=instant
-            )
-            if rows and self._shard_groups:
-                pending = self._route({chronicle: rows})
-                self._dispatch(pending, group.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return rows
-        finally:
-            self._finish_ingest_span(span, batches=1)
-
-    def append_simultaneous(
-        self,
-        batches: Mapping[str, TUnion[RowValues, Sequence[RowValues]]],
-        group: str = "default",
-        sequence_number: Optional[SequenceNumber] = None,
-        instant: Optional[float] = None,
-    ) -> Dict[str, Tuple[Row, ...]]:
-        owner = self.group(group)
-        span = self._ingest_span(owner.name, "append_simultaneous")
-        try:
-            admitted_at = time.time()
-            stamped = owner.append_simultaneous(
-                batches, sequence_number=sequence_number, instant=instant
-            )
-            event = {name: rows for name, rows in stamped.items() if rows}
-            if event and self._shard_groups:
-                pending = self._route(event)
-                self._dispatch(pending, owner.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return stamped
-        finally:
-            self._finish_ingest_span(span, batches=1)
-
-    def ingest(
-        self,
-        chronicle: str,
-        batches: Sequence[TUnion[RowValues, Sequence[RowValues]]],
-        instant: Optional[float] = None,
-    ) -> int:
-        """Group commit: admit a window of batches, maintain once per shard.
-
-        Each batch is admitted serially with its own fresh sequence
-        number (unpartitionable and periodic views are maintained per
-        batch, exactly as the serial engine would), but each shard
-        receives **one** coalesced event for the whole window — the
-        per-event fixed costs are paid once instead of ``len(batches)``
-        times.  Returns the number of records admitted.
-        """
-        group = self._owning_group(chronicle)
-        span = self._ingest_span(group.name, "ingest")
-        try:
-            admitted_at = time.time()
-            pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]] = {}
-            total = 0
-            for records in batches:
-                rows = group.append(chronicle, records, instant=instant)
-                total += len(rows)
-                if rows and self._shard_groups:
-                    self._route({chronicle: rows}, into=pending)
-            if pending:
-                self._dispatch(pending, group.watermark, admitted_at)
-            if self._durability is not None:
-                self._durability.batch_committed()
-            return total
-        finally:
-            self._finish_ingest_span(span, batches=len(batches))
-
-    def _owning_group(self, chronicle: str) -> ChronicleGroup:
-        group_name = self._chronicle_group.get(chronicle)
-        if group_name is None:
-            raise ChronicleGroupError(f"no chronicle named {chronicle!r}")
-        return self.groups[group_name]
+        pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]] = {}
+        for batch in batches:
+            self._route(batch, pending)
+        if pending:
+            self._dispatch(pending, group.watermark)
 
     def _route(
         self,
         event: Mapping[str, Tuple[Row, ...]],
-        into: Optional[Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]]] = None,
-    ) -> Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]]:
-        """Bucket one stamped event by (key class, shard) into *into*."""
-        pending = into if into is not None else {}
+        pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]],
+    ) -> None:
+        """Bucket one stamped event by (key class, shard) into *pending*."""
         for shard_group in self._shard_groups.values():
             spec_chronicles = shard_group.spec.keys
             for name, rows in event.items():
-                if name not in spec_chronicles:
+                if not rows or name not in spec_chronicles:
                     continue
                 routed = shard_group.router.route(name, rows)
                 units = pending.setdefault(shard_group, {})
                 for index, bucket in routed.items():
                     units.setdefault(index, {}).setdefault(name, []).extend(bucket)
-        return pending
 
     def _dispatch(
         self,
         pending: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]],
         watermark: SequenceNumber,
-        admitted_at: Optional[float] = None,
     ) -> None:
         tasks: List[ShardTask] = []
         obs = obs_runtime.ACTIVE
-        window: Optional[ShardWindow] = None
-        if admitted_at is None:
-            admitted_at = time.time()
-        if obs is not None:
-            trace_id = parent_id = None
-            if obs.trace:
-                producer = obs.tracer.current()
-                if producer is not None:
-                    trace_id = producer.trace_id
-                    parent_id = producer.span_id
-            window = ShardWindow(trace_id, parent_id, admitted_at)
+        dispatched_at = time.time()
         for shard_group, units in pending.items():
             for index, event in units.items():
                 unit = shard_group.units[index]
@@ -1394,8 +1175,8 @@ class ShardedDatabase(ChronicleDatabase):
                 # worker runs: a concurrent health probe or scrape sees
                 # the in-flight window as lag, not as silence.
                 unit.dispatched = watermark
-                unit.dispatched_at = admitted_at
-                tasks.append(ShardTask(unit, event, watermark, window))
+                unit.dispatched_at = dispatched_at
+                tasks.append(ShardTask(unit, event, watermark, dispatched_at))
                 if obs is not None:
                     obs.metrics.inc(
                         "shard_records_total",
@@ -1410,6 +1191,13 @@ class ShardedDatabase(ChronicleDatabase):
         try:
             self._maintainer.run(tasks)
         except BaseException as exc:
+            # A shard that did not absorb the window now lacks its rows;
+            # the next window would move its watermark past them, so the
+            # loss is recorded until restore() (see shard_health()).
+            for task in tasks:
+                unit = task.unit
+                if unit.watermark < watermark and unit.failed_watermark is None:
+                    unit.failed_watermark = watermark
             if obs is not None:
                 obs.metrics.inc("engine_errors_total")
                 obs.incident(
@@ -1461,7 +1249,9 @@ class ShardedDatabase(ChronicleDatabase):
         the global admission watermark — a shard that simply received no
         rows for a while is caught up, not lagging.  ``lag_seconds`` is
         staleness: zero when absorbed, else the age of the oldest
-        in-flight window.
+        in-flight window.  ``gap_watermark`` names the earliest window a
+        shard failed to apply; it stays set, whatever later windows do,
+        until :meth:`restore`.
         """
         now = time.time()
         admission = max(
@@ -1482,6 +1272,7 @@ class ShardedDatabase(ChronicleDatabase):
                         records_applied=unit.records_applied,
                         windows_applied=unit.windows_applied,
                         last_apply_at=unit.last_apply_at,
+                        gap_watermark=unit.failed_watermark,
                     )
                 )
         return ShardHealth(
@@ -1515,7 +1306,8 @@ class ShardedDatabase(ChronicleDatabase):
         here with every key on its owning shard.  Unit watermarks advance
         to the restored admission watermark, and process-executor worker
         replicas are invalidated — the next window reinstalls them from
-        the restored state.
+        the restored state.  Restored state is whole, so recorded shard
+        gaps clear.
         """
         super().restore(source)
         for shard_group in self._shard_groups.values():
@@ -1524,42 +1316,13 @@ class ShardedDatabase(ChronicleDatabase):
                 with unit.lock:
                     unit.watermark = watermark
                     unit.dispatched = watermark
-        self._maintainer.reset_units(self.shard_groups)
-
-    def _replay_stamped(
-        self,
-        group: ChronicleGroup,
-        event: Mapping[str, Tuple[Row, ...]],
-        watermark: SequenceNumber,
-    ) -> None:
-        """Watermark-aware replay: serial part, then only the lagging shards.
-
-        The serial admission group (fallback/unpartitionable/periodic
-        views) absorbs the event when its watermark is still behind;
-        each routed shard unit receives it only if that unit's own
-        watermark is behind — a snapshot taken mid-stream leaves nothing
-        to re-apply on the shards it already covers.
-        """
-        super()._replay_stamped(group, event, watermark)
-        if not self._shard_groups:
-            return
-        pending = self._route(event)
-        filtered: Dict[ShardGroup, Dict[int, Dict[str, List[Row]]]] = {}
-        for shard_group, units in pending.items():
-            keep = {
-                index: unit_event
-                for index, unit_event in units.items()
-                if shard_group.units[index].watermark < watermark
-            }
-            if keep:
-                filtered[shard_group] = keep
-        if filtered:
-            self._dispatch(filtered, watermark)
+                    unit.failed_watermark = None
+        self._maintainer.reset_units()
 
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down, then the base resources."""
+        """Shut the worker processes down, then the base resources."""
         self._maintainer.close()
         super().close()
 

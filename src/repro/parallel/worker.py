@@ -9,7 +9,7 @@ fold-state snapshot.  The replica is a faithful reconstruction of the
 parent-side :class:`~repro.parallel.engine.ShardUnit` — same registry
 settings (no prefilter, compile as configured), same coalesced
 ``ingest_stamped`` maintenance path — so the per-window fold it computes
-is exactly what the thread executor would compute in place.
+is exactly what the inline executor would compute in place.
 
 The cross-process contract is byte-minimal in both directions:
 
@@ -25,7 +25,7 @@ The cross-process contract is byte-minimal in both directions:
 
 **The telemetry relay.**  Spawned workers never inherit the parent's
 observability runtime, so when the parent has observability installed
-(and ``DatabaseConfig.relay_telemetry`` is on) each window additionally
+each window additionally
 travels through :func:`worker_apply_relay`: the parent pre-pickles the
 window itself (timing the encode, counting the bytes), and the worker
 
@@ -344,7 +344,7 @@ class UnitReplica:
         # Report every *candidate* view (its chronicles were touched —
         # exactly the views the registry maintained this window), even
         # with an empty item list: the parent counts a maintenance
-        # window per reported view, matching the thread executor.
+        # window per reported view, matching the inline executor.
         touched_names = set(event)
         out: Dict[str, List[Tuple[Any, Any]]] = {}
         for name, view in self.views.items():

@@ -6,9 +6,11 @@ unbounded recompute the model forbids.  :class:`DurabilityManager` makes
 restart cheap instead:
 
 * every **admitted batch** is written to the append-ahead log *before*
-  maintenance applies it (the ``wal_sink`` hook fires between chronicle
-  storage and the maintenance listeners in
-  :meth:`~repro.core.group.ChronicleGroup._append_impl`);
+  it is stored or maintained (the ``wal_sink`` hook fires between
+  admission and commit in :meth:`~repro.core.group.ChronicleGroup
+  .append_window`); one write call's batches commit in one SQLite
+  transaction, so recovery never replays a window that was never
+  admitted live;
 * catalog operations (groups, chronicles, relations, view definitions)
   are interleaved in the same ordered log, so a view defined mid-stream
   replays at the right point relative to the data;
@@ -48,7 +50,7 @@ import time
 import warnings
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ChronicleError
 from ..obs import runtime as obs_runtime
@@ -191,28 +193,34 @@ class DurabilityManager:
         """Point a group's ``wal_sink`` at this manager."""
         group.wal_sink = self.admission_sink
 
-    def admission_sink(self, group: Any, event: Mapping[str, Any], watermark: int) -> None:
-        """Log one admitted batch — called *before* maintenance applies it."""
+    def admission_sink(self, group: Any, window: Sequence[Tuple[Mapping[str, Any], int]]) -> None:
+        """Log one write call's batches — before anything is stored.
+
+        One ``batch`` row per ``(event, sequence number)`` of *window*,
+        all in one SQLite transaction: if any row fails, none lands and
+        the exception aborts the call before it changed anything.
+        """
         if self._closed or not self._live:
             return
-        payload = {
-            name: [row.values for row in rows] for name, rows in event.items()
-        }
         obs = obs_runtime.ACTIVE
+        started = time.perf_counter() if obs is not None else 0.0
+        size = 0
+        with self.wal.transaction():
+            for event, watermark in window:
+                payload = {
+                    name: [row.values for row in rows] for name, rows in event.items()
+                }
+                size += self.wal.log_batch(group.name, payload, watermark)
         if obs is not None:
-            started = time.perf_counter()
-            size = self.wal.log_batch(group.name, payload, watermark)
-            obs.metrics.inc("wal_batches_total", group=group.name)
+            obs.metrics.inc("wal_batches_total", len(window), group=group.name)
             obs.metrics.inc("wal_bytes_total", size, group=group.name)
             obs.metrics.observe(
                 "wal_append_seconds", time.perf_counter() - started, group=group.name
             )
-        else:
-            self.wal.log_batch(group.name, payload, watermark)
-        self._batches_since_snapshot += 1
+        self._batches_since_snapshot += len(window)
 
     def batch_committed(self) -> None:
-        """Facade hook after maintenance finished one batch/window.
+        """Facade hook after maintenance finished one write call.
 
         Snapshots run here — never inside the admission path — so the
         checkpoint document always captures fully-maintained view state.

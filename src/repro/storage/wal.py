@@ -6,7 +6,7 @@ schema-versioned tables carry the durable state:
 
 ``log``
     One row per event, in admission order (the rowid is the recovery
-    order).  Kinds: ``batch`` (an admitted append event — the chronicle
+    order).  Kinds: ``batch`` (an admitted batch — the chronicle
     name → stamped value tuples map of PR 6's cross-process dispatch,
     pickled, plus the event watermark), ``ddl`` (a catalog operation:
     group/chronicle/relation/view definitions, interleaved with the
@@ -21,10 +21,10 @@ schema-versioned tables carry the durable state:
     shape before the snapshot's state is loaded).
 
 The fsync policy maps onto SQLite's ``synchronous`` pragma: ``always``
-→ FULL (fsync per autocommitted batch insert), ``batch`` → NORMAL
-(commit per batch; in WAL mode this survives process crash without a
-per-batch fsync — the file is fsynced at snapshot/flush/close), ``off``
-→ OFF.
+→ FULL (fsync per commit — one per write call, whose batch rows commit
+together), ``batch`` → NORMAL (commit per write call; in WAL mode this
+survives process crash without a per-commit fsync — the file is
+fsynced at snapshot/flush/close), ``off`` → OFF.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import os
 import pickle
 import sqlite3
 import threading
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, NamedTuple, Optional, Tuple
 
 from ..errors import ChronicleError
@@ -76,9 +77,10 @@ class ChronicleWal:
     """The SQLite substrate of the durability subsystem.
 
     Thread-safe for the engine's single-admission discipline plus
-    concurrent reads (a lock serializes statements); all writes are
-    autocommitted per statement except snapshots, which commit the
-    snapshot row and the log-tail truncation atomically.
+    concurrent reads (a lock serializes statements); writes autocommit
+    per statement unless grouped by :meth:`transaction` (one write
+    call's batches) — snapshots likewise commit the snapshot row and
+    the log-tail truncation atomically.
     """
 
     def __init__(self, directory: str, fsync: str = "batch") -> None:
@@ -87,7 +89,7 @@ class ChronicleWal:
         os.makedirs(directory, exist_ok=True)
         self.path = wal_path(directory)
         self.fsync = fsync
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         try:
             self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
                 self.path, isolation_level=None, check_same_thread=False
@@ -143,6 +145,24 @@ class ChronicleWal:
         return self._conn is None
 
     # -- writes ---------------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Commit the writes made inside as one SQLite transaction.
+
+        Either every row lands or — when the block raises, or the commit
+        itself fails — none does.
+        """
+        with self._lock:
+            conn = self._require()
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield
+                conn.execute("COMMIT")
+            except BaseException:
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                raise
 
     def log_batch(
         self, group: str, payload: Dict[str, list], watermark: int

@@ -345,8 +345,8 @@ class ViewRegistry:
     # -- routing -----------------------------------------------------------------------
 
     def attach(self, group: ChronicleGroup) -> None:
-        """Subscribe the registry to a group's append events."""
-        group.subscribe(self.on_event)
+        """Subscribe the registry to a group's append events (coalesced)."""
+        group.subscribe(self.on_event, coalesce=True)
 
     def on_event(self, group: ChronicleGroup, event: Mapping[str, Tuple[Row, ...]]) -> int:
         """Route one append event; returns how many views were maintained.

@@ -2,16 +2,17 @@
 
 Covers the crash-recovery property (recovered views must equal a serial
 recompute of exactly the logged batches, for every workload generator on
-both engines), kill -9 of a live ingesting process (thread and process
-executors; recovery counts validated against the SQLite log itself),
+both engines), kill -9 of a live ingesting process (inline and process
+executors; recovery counts validated against the SQLite log itself, and
+no process of the killed session may survive),
 watermark-bounded replay (tail length <= snapshot interval), mid-stream
 DDL (views defined between snapshots rebuild with their history-derived
 state), relation proactivity updates, wal-only full replay, cross-engine
 recovery, corrupt-log failure (RecoveryError + incident bundle), the
 unified lifecycle API (open/flush/close, the refusal to construct over
 existing durable state), zero-cost off mode, DurabilityConfig
-validation, NonDurableWarning cases, and the checkpoint deprecation
-shims.
+validation, NonDurableWarning cases, and the removal of the old
+checkpoint function names.
 """
 
 import os
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import warnings
 
 import pytest
@@ -76,7 +78,6 @@ VIEW_NAMES = ("by_key", "filtered", "grand")
 ENGINES = {
     "serial": {"engine": "serial"},
     "sharded-serial": {"engine": "sharded", "shards": 2, "executor": "serial"},
-    "sharded-thread": {"engine": "sharded", "shards": 2, "executor": "thread"},
 }
 
 
@@ -220,7 +221,7 @@ class TestCrashRecovery:
         workload_cls, key, value = WORKLOADS[0]
         records = list(workload_cls(seed=7).records(8))
 
-        sharded = _config(directory, engine="sharded-thread", interval=3)
+        sharded = _config(directory, engine="sharded-serial", interval=3)
         db = ChronicleDatabase.open(directory, config=sharded)
         workload = _catalog(db, workload_cls, key, value)
         for record in records[:7]:
@@ -383,6 +384,35 @@ _CHILD = textwrap.dedent(
 )
 
 
+def _session_members(session):
+    """Live (non-zombie) pids whose session id is *session* (Linux /proc)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # After "(comm)": state, ppid, pgrp, session, ...
+        if int(fields[3]) == session and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _await_session_exit(session, timeout=10.0):
+    """Wait for every process of *session* to die; returns any survivors."""
+    if not os.path.isdir("/proc"):
+        return []
+    deadline = time.monotonic() + timeout
+    survivors = _session_members(session)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.05)
+        survivors = _session_members(session)
+    return survivors
+
+
 class TestKillNine:
     def _run(self, tmp_path, executor, kill_after):
         directory = str(tmp_path / "db")
@@ -391,12 +421,16 @@ class TestKillNine:
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # Its own session, so the kill reaches the whole process group:
+        # the ingester, its spawn workers, and the multiprocessing
+        # resource tracker — none of them may outlive the test.
         proc = subprocess.Popen(
             [sys.executable, str(script), directory, executor],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
             env=env,
+            start_new_session=True,
         )
         seen = 0
         try:
@@ -406,12 +440,15 @@ class TestKillNine:
                     if seen >= kill_after:
                         break
             assert seen >= kill_after, proc.stderr.read()
-            os.kill(proc.pid, signal.SIGKILL)
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
         finally:
             if proc.poll() is None:
-                proc.kill()
+                os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert _await_session_exit(proc.pid) == []
 
         # Count durably committed batches straight off the SQLite file —
         # independent of the WAL reader under test.  fsync="always" in
@@ -444,8 +481,8 @@ class TestKillNine:
         finally:
             db.close()
 
-    def test_kill9_thread_executor(self, tmp_path):
-        self._run(tmp_path, "thread", kill_after=6)
+    def test_kill9_serial_executor(self, tmp_path):
+        self._run(tmp_path, "serial", kill_after=6)
 
     def test_kill9_process_executor(self, tmp_path):
         self._run(tmp_path, "process", kill_after=4)
@@ -795,13 +832,9 @@ class TestWalSubstrate:
 
 
 class TestDeprecatedCheckpointNames:
-    def test_legacy_names_warn_and_delegate(self):
-        with pytest.warns(DeprecationWarning, match="write_checkpoint"):
-            legacy = checkpoint_module.checkpoint_database
-        assert legacy is checkpoint_module.write_checkpoint
-        with pytest.warns(DeprecationWarning, match="load_checkpoint"):
-            legacy = checkpoint_module.restore_database
-        assert legacy is checkpoint_module.load_checkpoint
+    def test_removed_names_are_gone(self):
+        for name in ("checkpoint_database", "restore_database"):
+            assert not hasattr(checkpoint_module, name)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

@@ -9,7 +9,7 @@ per-shard lag gauges and label hygiene (no shard="?" bucket, ever),
 cross-thread trace correlation (every shard_apply span carries the
 producing ingest's trace id), the flight-recorder ring/cooldown/bundle
 format, incident dumps on auditor violations and shard-worker errors,
-and concurrent scrapes while maintenance runs on the thread executor.
+and concurrent scrapes while maintenance runs on the inline executor.
 """
 
 import json
@@ -402,7 +402,7 @@ class TestTraceCorrelation:
         return out
 
     def test_every_shard_apply_carries_producer_trace_id(self):
-        db = make_sharded(observe=True, executor="thread")
+        db = make_sharded(observe=True, executor="serial")
         try:
             _append_some(db, 10)
             db.ingest("calls", [[{"caller": i, "minutes": 2}] for i in range(6)])
@@ -417,7 +417,7 @@ class TestTraceCorrelation:
             assert span.parent_id is not None
 
     def test_linked_spans_reference_ingest_span_id(self):
-        db = make_sharded(observe=True, executor="thread")
+        db = make_sharded(observe=True, executor="serial")
         try:
             _append_some(db, 10)
             spans = self._spans(db.observability)
@@ -550,7 +550,7 @@ class TestIncidents:
         assert "snapshot" in bundle["context"]
 
     def test_shard_worker_error_bundle_is_readable(self, tmp_path):
-        db = make_sharded(executor="thread")
+        db = make_sharded(executor="serial")
         obs = db.enable_observability(audit="off", incident_dir=str(tmp_path))
         try:
             _append_some(db, 6)
@@ -600,13 +600,13 @@ class TestIncidents:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent scrape while maintenance runs (thread executor)
+# Concurrent scrape while maintenance runs (inline executor)
 # ---------------------------------------------------------------------------
 
 
 class TestConcurrentScrape:
     def test_endpoints_answer_mid_maintenance(self):
-        db = make_sharded(observe=True, executor="thread", shards=2)
+        db = make_sharded(observe=True, executor="serial", shards=2)
         server = db.serve_metrics(port=0)
         errors = []
         done = threading.Event()

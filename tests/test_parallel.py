@@ -3,15 +3,15 @@
 Covers partition inference (copy lineage -> PartitionSpec, the
 UNPARTITIONABLE cases), the shard-determinism property (sharded N-worker
 state must equal serial state after arbitrary interleaved batch appends,
-for every workload generator — under the thread, serial, *and* process
-executors), stable hash-routing (identical across interpreter runs and
+for every workload generator — under the inline *and* process
+executors, with faults injected), stable hash-routing (identical across interpreter runs and
 hash seeds), portable plan/summary/snapshot specs (pickle round-trips,
 worker replica reconstruction), the process executor's crash contract
 (engine_errors_total + incident bundle + consistent watermarks), sharded
 checkpoint/restore (including cross-engine), the serial-shard fallback
 (warning + metric, for unpartitionable and non-portable views), snapshot
 reads through MergedView, DatabaseConfig validation and the
-deprecated-keyword shim, engine selection, and exporter lifetime
+deprecated ``executor="thread"`` alias, engine selection, and exporter lifetime
 (close(), context manager, GC finalizer).
 """
 
@@ -19,9 +19,11 @@ import gc
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -36,6 +38,7 @@ from repro import (
     ChronicleDatabase,
     CreditCardWorkload,
     DatabaseConfig,
+    DurabilityConfig,
     FrequentFlyerWorkload,
     SensorWorkload,
     StockWorkload,
@@ -45,7 +48,7 @@ from repro.aggregates import COUNT, MAX, SUM, spec
 from repro.algebra.ast import scan
 from repro.algebra.plan import UNPARTITIONABLE, PartitionSpec, infer_partition
 from repro.core.config import DatabaseConfig as ConfigAlias
-from repro.errors import ConfigError, EngineError
+from repro.errors import ConfigError, EngineError, SequenceOrderError, TypeMismatchError
 from repro.obs import runtime as obs_runtime
 from repro.algebra.plan import (
     build_schema,
@@ -199,22 +202,57 @@ class TestShardRouter:
 # ---------------------------------------------------------------------------
 
 
+class _InjectedWalFailure(OSError):
+    """Raised by the fault-injected ``ChronicleWal.log_batch``."""
+
+
+def _fail_log_batch_at(db, target):
+    """Make the *target*-th (0-based) later ``log_batch`` call raise."""
+    wal = db.durability.wal
+    original = wal.log_batch
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] - 1 == target:
+            raise _InjectedWalFailure("injected WAL write failure")
+        return original(*args, **kwargs)
+
+    wal.log_batch = failing
+    return lambda: setattr(wal, "log_batch", original)
+
+
 class TestShardDeterminism:
+    """sharded == serial, with faults: every write call is all-or-nothing.
+
+    A reference serial database appends, one batch at a time, exactly
+    the batches the engines under test admitted.  The engines under test
+    (the serial engine and the sharded engine, both durable) receive the
+    same batches as a drawn mix of single appends and ingest windows,
+    where one drawn window carries a fault: an invalid record at a drawn
+    position, or a ``ChronicleWal.log_batch`` failure at a drawn batch.
+    The faulty call must raise and change nothing (watermarks, log rows,
+    views); live state and the state ``ChronicleDatabase.open`` recovers
+    must both equal the reference.
+    """
+
     @settings(max_examples=20, deadline=None)
     @given(
         workload_index=st.integers(min_value=0, max_value=len(WORKLOADS) - 1),
         shards=st.integers(min_value=1, max_value=4),
-        executor=st.sampled_from(["thread", "serial"]),
         batch_sizes=st.lists(
             st.integers(min_value=1, max_value=7), min_size=1, max_size=10
         ),
         window_cut=st.integers(min_value=1, max_value=4),
+        fault=st.sampled_from(["none", "record", "wal"]),
         data=st.data(),
     )
     def test_sharded_equals_serial(
-        self, workload_index, shards, executor, batch_sizes, window_cut, data
+        self, workload_index, shards, batch_sizes, window_cut, fault, data
     ):
-        self._check(workload_index, shards, executor, batch_sizes, window_cut, data)
+        self._check(
+            workload_index, shards, "serial", batch_sizes, window_cut, fault, data
+        )
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -224,72 +262,292 @@ class TestShardDeterminism:
             st.integers(min_value=1, max_value=5), min_size=1, max_size=6
         ),
         window_cut=st.integers(min_value=1, max_value=4),
+        fault=st.sampled_from(["none", "record", "wal"]),
         data=st.data(),
     )
     def test_sharded_equals_serial_process(
-        self, workload_index, shards, batch_sizes, window_cut, data
+        self, workload_index, shards, batch_sizes, window_cut, fault, data
     ):
         # Small example budget: every example spawns worker processes.
-        self._check(workload_index, shards, "process", batch_sizes, window_cut, data)
+        self._check(
+            workload_index, shards, "process", batch_sizes, window_cut, fault, data
+        )
 
-    def _check(self, workload_index, shards, executor, batch_sizes, window_cut, data):
+    def _check(
+        self, workload_index, shards, executor, batch_sizes, window_cut, fault, data
+    ):
         workload_cls, key, value = WORKLOADS[workload_index]
-        serial, workload = _build(workload_cls, key, value)
-        sharded, _ = _build(
-            workload_cls,
-            key,
-            value,
-            config=DatabaseConfig(
+        records = list(workload_cls(seed=7).records(sum(batch_sizes)))
+        batches, offset = [], 0
+        for size in batch_sizes:
+            batches.append(records[offset : offset + size])
+            offset += size
+        windows, offset = [], 0
+        while offset < len(batches):
+            size = data.draw(
+                st.integers(min_value=1, max_value=window_cut), label="window"
+            )
+            direct = size == 1 and data.draw(st.booleans(), label="direct")
+            windows.append((batches[offset : offset + size], direct))
+            offset += size
+        faulty = data.draw(
+            st.integers(min_value=0, max_value=len(windows) - 1), label="faulty"
+        )
+        faulty_batches = windows[faulty][0]
+        at_batch = data.draw(
+            st.integers(min_value=0, max_value=len(faulty_batches) - 1),
+            label="at batch",
+        )
+        at_record = data.draw(
+            st.integers(min_value=0, max_value=len(faulty_batches[at_batch]) - 1),
+            label="at record",
+        )
+        interval = data.draw(st.integers(min_value=1, max_value=4), label="interval")
+        crash = data.draw(st.booleans(), label="crash")
+
+        directory = tempfile.mkdtemp(prefix="repro-equiv-")
+        engines = {
+            "serial": DatabaseConfig(),
+            "sharded": DatabaseConfig(
                 engine="sharded", shards=shards, executor=executor
             ),
-        )
+        }
+        reference, workload = _build(workload_cls, key, value)
+        subjects = {}
         try:
-            records = list(workload.records(sum(batch_sizes)))
-            batches, offset = [], 0
-            for size in batch_sizes:
-                batches.append(records[offset : offset + size])
-                offset += size
-            # Serial: one maintenance event per batch.  Sharded: the
-            # same batches, but delivered through an arbitrary mix of
-            # per-batch appends and coalesced ingest windows.
-            for batch in batches:
-                serial.append(workload.NAME, batch)
-            offset = 0
-            while offset < len(batches):
-                size = data.draw(
-                    st.integers(min_value=1, max_value=window_cut),
-                    label="window",
+            for name, config in engines.items():
+                config = config.replace(
+                    durability=DurabilityConfig(
+                        mode="wal+snapshot",
+                        dir=os.path.join(directory, name),
+                        fsync="off",
+                        snapshot_interval_batches=interval,
+                    )
                 )
-                window = batches[offset : offset + size]
-                if len(window) == 1 and data.draw(st.booleans(), label="direct"):
-                    sharded.append(workload.NAME, window[0])
-                else:
-                    sharded.ingest(workload.NAME, window)
-                offset += size
+                subjects[name] = (_build(workload_cls, key, value, config)[0], config)
+            admitted = 0
+            for index, (window, direct) in enumerate(windows):
+                if index == faulty and fault != "none":
+                    for db, _ in subjects.values():
+                        self._assert_rejected(
+                            db, workload.NAME, window, direct, fault,
+                            at_batch, at_record, value,
+                        )
+                    continue
+                for batch in window:
+                    reference.append(workload.NAME, batch)
+                admitted += len(window)
+                for db, _ in subjects.values():
+                    if direct:
+                        db.append(workload.NAME, window[0])
+                    else:
+                        db.ingest(workload.NAME, window)
 
-            assert _state(serial) == _state(sharded)
-            # Key-routed point reads agree with the serial engine.
-            for row in serial.view("by_key").rows():
-                view_key = row.values[: len([key])]
-                assert sharded.view_value(
-                    "by_key", view_key, f"sum_{value}"
-                ) == serial.view_value("by_key", view_key, f"sum_{value}")
-                break
-            watermarks = sharded.watermarks()
-            (serial_wm,) = [
-                wm for k, wm in watermarks.items() if k.startswith("serial/")
-            ]
-            # A unit's watermark is the sequence number of the last
-            # event routed to it: never ahead of admission, and the
-            # final record's shard has absorbed exactly up to it.
-            unit_wms = [
-                wm for k, wm in watermarks.items() if not k.startswith("serial/")
-            ]
-            assert all(wm <= serial_wm for wm in unit_wms)
-            assert max(unit_wms) == serial_wm
+            expected = _state(reference)
+            for name, (db, config) in subjects.items():
+                assert _state(db) == expected, name
+                # A rejected call consumes no sequence numbers.
+                assert db.watermarks()["serial/default"] == admitted - 1
+                if name == "sharded":
+                    self._check_reads_and_watermarks(db, reference, key, value)
+                if crash:
+                    db.durability.abort()
+                db.close()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UnpartitionableViewWarning)
+                    recovered = ChronicleDatabase.open(config.durability.dir, config)
+                try:
+                    assert _state(recovered) == expected, f"recovered {name}"
+                    assert recovered.watermarks()["serial/default"] == admitted - 1
+                finally:
+                    recovered.close()
         finally:
-            serial.close()
-            sharded.close()
+            reference.close()
+            for db, _ in subjects.values():
+                db.close()
+            shutil.rmtree(directory, ignore_errors=True)
+
+    @staticmethod
+    def _assert_rejected(db, chronicle, window, direct, fault, at_batch, at_record, value):
+        before = (db.watermarks(), db.durability.wal.log_rows(), _state(db))
+        if fault == "record":
+            window = [list(batch) for batch in window]
+            window[at_batch][at_record] = dict(window[at_batch][at_record], **{value: "bad"})
+            expected_error = TypeMismatchError
+            restore = None
+        else:
+            expected_error = _InjectedWalFailure
+            restore = _fail_log_batch_at(db, at_batch)
+        try:
+            with pytest.raises(expected_error):
+                if direct:
+                    db.append(chronicle, window[0])
+                else:
+                    db.ingest(chronicle, window)
+        finally:
+            if restore is not None:
+                restore()
+        assert (db.watermarks(), db.durability.wal.log_rows(), _state(db)) == before
+
+    @staticmethod
+    def _check_reads_and_watermarks(sharded, serial, key, value):
+        # Key-routed point reads agree with the serial engine.
+        for row in serial.view("by_key").rows():
+            view_key = row.values[:1]
+            assert sharded.view_value(
+                "by_key", view_key, f"sum_{value}"
+            ) == serial.view_value("by_key", view_key, f"sum_{value}")
+            break
+        watermarks = sharded.watermarks()
+        serial_wm = watermarks["serial/default"]
+        # A unit's watermark is the sequence number of the last window
+        # routed to it: never ahead of admission, and the shard of the
+        # final admitted record has absorbed exactly up to it.
+        unit_wms = [wm for k, wm in watermarks.items() if not k.startswith("serial/")]
+        assert all(wm <= serial_wm for wm in unit_wms)
+        assert max(unit_wms) == serial_wm
+        assert sharded.shard_health().gap_shards == 0
+
+
+class TestFailureAtomicWrites:
+    """A rejected window changes nothing, on every engine configuration."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"engine": "sharded", "shards": 2, "executor": "serial"},
+            {"engine": "sharded", "shards": 2, "executor": "process"},
+        ],
+        ids=["serial", "sharded-serial", "sharded-process"],
+    )
+    def test_bad_window_keeps_old_watermark(self, tmp_path, overrides):
+        config = DatabaseConfig(**overrides)
+        db = ChronicleDatabase.open(str(tmp_path / "db"), config)
+        try:
+            db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+            db.define_view(
+                "DEFINE VIEW usage AS "
+                "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
+            )
+            marks, rows = db.watermarks(), db.durability.wal.log_rows()
+            with pytest.raises(TypeMismatchError):
+                db.ingest("calls", [[(1, 10)], [(2, 20)], [("bad", 30)]])
+            assert db.watermarks() == marks
+            assert db.durability.wal.log_rows() == rows
+            assert list(db.view("usage").rows()) == []
+            db.ingest("calls", [[(1, 5)]])
+            assert db.view_value("usage", (1,), "total") == 5
+            assert db.view_row("usage", (2,)) is None
+            assert db.watermarks()["serial/default"] == 0
+        finally:
+            db.close()
+
+    def test_rejected_window_consumes_no_sequence_numbers(self):
+        db = ChronicleDatabase()
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db.append("calls", (1, 1))
+        with pytest.raises(TypeMismatchError):
+            db.append("calls", ("bad", 1))
+        with pytest.raises(SequenceOrderError):
+            db.append("calls", (1, 1), sequence_number=0)
+        (row,) = db.append("calls", (2, 2))
+        assert row.sequence_number == 1
+
+    def test_each_batch_keeps_its_own_sequence_number_and_log_row(self, tmp_path):
+        db = ChronicleDatabase.open(str(tmp_path / "db"))
+        try:
+            db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")], retention=None)
+            db.ingest("calls", [[(1, 1), (2, 2)], [(3, 3)], [(4, 4)]])
+            sns = [row.sequence_number for row in db.detail_window("calls")]
+            assert sns == [0, 0, 1, 2]
+            batches = [e for e in db.durability.wal.entries() if e.kind == "batch"]
+            assert [e.watermark for e in batches] == [0, 1, 2]
+        finally:
+            db.close()
+
+    def test_registry_maintains_one_event_per_call(self):
+        db = ChronicleDatabase()
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db.define_view(
+            "DEFINE VIEW usage AS "
+            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
+        )
+        db.ingest("calls", [[(1, 1)], [(1, 2)], [(2, 3)]])
+        assert db.stats["events"] == 1
+        assert db.view_value("usage", (1,), "total") == 3
+
+
+class TestShardGaps:
+    """A window a shard failed to apply stays reported until restore()."""
+
+    def _db(self):
+        db = ChronicleDatabase(
+            config=DatabaseConfig(engine="sharded", shards=2, executor="serial")
+        )
+        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
+        db.define_view(
+            "DEFINE VIEW usage AS "
+            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
+        )
+        return db
+
+    def test_gap_survives_later_successful_windows(self, tmp_path):
+        db = self._db()
+        obs = db.enable_observability(audit="off")
+        try:
+            db.ingest("calls", [[(c, 1)] for c in range(8)])
+            unit = db.shard_groups[0].units[0]
+
+            def exploding(group, event):
+                raise EngineError("injected apply failure")
+
+            unit.group.subscribe(exploding)
+            with pytest.raises(EngineError):
+                db.ingest("calls", [[(c, 1)] for c in range(8)])
+            failed_at = db.watermarks()["serial/default"]
+            unit.group.unsubscribe(exploding)
+            db.ingest("calls", [[(c, 1)] for c in range(8)])
+
+            # Lag is gone (the next window advanced the watermark) ...
+            health = db.shard_health()
+            assert health.max_lag_batches == 0
+            # ... but the lost window is still reported, and health is
+            # at least DEGRADED, not silently OK.
+            gaps = {s.shard: s.gap_watermark for s in health.shards}
+            assert gaps == {unit.label: failed_at, db.shard_groups[0].units[1].label: None}
+            assert health.gap_shards == 1
+            assert health.as_dict()["gap_shards"] == 1
+            report = db.health()
+            assert report.status in ("DEGRADED", "FAILING")
+            assert "shard_gaps" in {c.name for c in report.breaches}
+            assert "GAP since watermark" in report.format()
+
+            # Restoring whole state clears the gap.
+            path = str(tmp_path / "cp.json")
+            db.checkpoint(path)
+            db.restore(path)
+            assert db.shard_health().gap_shards == 0
+        finally:
+            obs.uninstall()
+            db.close()
+
+    def test_gap_recorded_without_observability(self):
+        db = self._db()
+        try:
+            original = db._maintainer.run
+
+            def exploding(tasks):
+                raise EngineError("injected worker failure")
+
+            db._maintainer.run = exploding
+            with pytest.raises(EngineError):
+                db.ingest("calls", [[(c, 1)] for c in range(4)])
+            db._maintainer.run = original
+            db.ingest("calls", [[(c, 1)] for c in range(4)])
+            assert db.shard_health().gap_shards == 2
+        finally:
+            db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +668,7 @@ class TestDatabaseConfig:
         config = DatabaseConfig()
         assert config.engine == "serial"
         assert config.shards == 4
-        assert config.executor == "thread"
+        assert config.executor == "serial"
         assert config.prefilter_views and config.compile_views
         assert not config.observe
 
@@ -448,37 +706,21 @@ class TestDatabaseConfig:
 
 
 class TestLegacyShim:
-    def test_legacy_keywords_warn_and_apply(self):
-        with pytest.deprecated_call():
-            db = ChronicleDatabase(prefilter_views=False, compile_views=False)
-        assert db.config.prefilter_views is False
-        assert db.config.compile_views is False
-
-    def test_legacy_keywords_merge_into_config(self):
-        with pytest.deprecated_call():
-            db = ChronicleDatabase(
-                config=DatabaseConfig(shards=2), prefilter_views=False
-            )
-        assert db.config.shards == 2
-        assert db.config.prefilter_views is False
-
     def test_config_only_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             ChronicleDatabase(config=DatabaseConfig(prefilter_views=False))
 
-    def test_query_view_alias(self):
-        db = ChronicleDatabase()
-        db.create_chronicle("calls", [("caller", "INT"), ("minutes", "INT")])
-        db.define_view(
-            "DEFINE VIEW usage AS "
-            "SELECT caller, SUM(minutes) AS total FROM calls GROUP BY caller"
-        )
-        db.append("calls", {"caller": 1, "minutes": 5})
-        assert db.view_row("usage", (1,)) is not None
-        with pytest.deprecated_call():
-            row = db.query_view("usage", (1,))
-        assert row == db.view_row("usage", (1,))
+    def test_thread_executor_is_a_deprecated_alias_of_serial(self):
+        with pytest.deprecated_call(match='executor="thread"'):
+            config = DatabaseConfig(engine="sharded", executor="thread")
+        assert config.executor == "serial"
+
+    def test_removed_shims_are_gone(self):
+        with pytest.raises(TypeError):
+            ChronicleDatabase(prefilter_views=False)
+        assert not hasattr(ChronicleDatabase, "query_view")
+        assert "relay_telemetry" not in {f for f in DatabaseConfig.__dataclass_fields__}
 
 
 class TestEngineSelection:
@@ -817,7 +1059,7 @@ class TestShardedCheckpoint:
 
     def test_round_trip_same_engine(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        db = self._fresh("thread")
+        db = self._fresh("serial")
         try:
             self._fill(db)
             before = self._usage(db)
@@ -825,7 +1067,7 @@ class TestShardedCheckpoint:
             db.checkpoint(path)
         finally:
             db.close()
-        db2 = self._fresh("thread")
+        db2 = self._fresh("serial")
         try:
             db2.restore(path)
             assert self._usage(db2) == before

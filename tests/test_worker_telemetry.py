@@ -6,9 +6,9 @@ Covers the PR-7 contract from both ends of the process boundary:
   ``Span.to_record`` / ``Tracer.graft`` identity rules, metric
   ``to_deltas`` / ``merge_deltas`` round trips, and the worker entry
   points driven directly against a module-global replica;
-* the zero-overhead contract: with observability off (or
-  ``relay_telemetry=False``) the process executor submits exactly PR 6's
-  ``worker_apply`` payload, byte-identical under pickle — the
+* the zero-overhead contract: with observability off the process
+  executor submits exactly the plain ``worker_apply`` payload,
+  byte-identical under pickle — the
   throughput half of that contract is enforced by the E14/E15 gates'
   median/MAD policy in CI, which run with observability off;
 * end-to-end spawn tests: stitched traces (worker ``maintain`` spans
@@ -32,7 +32,7 @@ from repro import ChronicleDatabase, DatabaseConfig
 from repro.aggregates import COUNT, SUM, spec
 from repro.algebra.ast import scan
 from repro.cli import Session
-from repro.errors import ConfigError, EngineError
+from repro.errors import EngineError
 from repro.obs import runtime as obs_runtime
 from repro.obs.core import Observability
 from repro.obs.metrics import MetricsRegistry
@@ -303,44 +303,15 @@ class TestZeroOverheadContract:
         finally:
             db.close()
 
-    def test_relay_knob_off_keeps_legacy_payload_even_when_observed(self):
-        db = _process_db(relay_telemetry=False)
-        obs = db.enable_observability(audit="off")
-        try:
-            captured = self._capture_submissions(db)
-            _windows(db, count=2)
-            assert captured
-            assert all(fn is worker_apply for _, (fn, _, _) in captured)
-            assert all(meta is None for _, (_, _, meta) in captured)
-            assert not obs.metrics.series("ipc_bytes_down_total")
-        finally:
-            obs.uninstall()
-            db.close()
-
     def test_relay_engages_only_with_observability_installed(self):
-        backend = ProcessShardBackend(2, relay_telemetry=True)
+        backend = ProcessShardBackend(2)
         try:
             assert not backend._relay_active()
             with obs_runtime.installed(Observability(audit="off")):
                 assert backend._relay_active()
             assert not backend._relay_active()
-            off = ProcessShardBackend(2, relay_telemetry=False)
-            with obs_runtime.installed(Observability(audit="off")):
-                assert not off._relay_active()
         finally:
             backend.close()
-
-    def test_config_knob_validates_and_flows(self):
-        assert DatabaseConfig().relay_telemetry is True
-        config = _process_config(relay_telemetry=False)
-        assert config.replace(relay_telemetry=True).relay_telemetry is True
-        with pytest.raises(ConfigError, match="relay_telemetry"):
-            DatabaseConfig(relay_telemetry="yes")
-        db = ChronicleDatabase(config=config)
-        try:
-            assert db._maintainer._backend.relay_telemetry is False
-        finally:
-            db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +482,6 @@ class TestShowWorkersCli:
             )
             before = session.execute("SHOW WORKERS")
             assert "executor=process" in before
-            assert "relay_telemetry=on" in before
             assert "no worker telemetry" in before
             for i in range(6):
                 session.execute(
